@@ -7,16 +7,25 @@ socket API (see :mod:`repro.service.protocol`).  The data path is::
     client ──ingest──▶ parse (lenient) ──▶ BoundedIngestQueue
                                                │ (watermarks; shed)
                                    drain loop (supervised)
-                                               │ WAL append  ◀─ ack here
+                                               │ WAL append
+                                               ▼
+                                   append onto the day's columns,
+                                   mark the day dirty       ◀─ ack here
+
+    client ──query/footprint/digest──▶ fold dirty days, ascending
+                                               │
                                                ▼
                                    CatalogBuilder.update(day, columns)
 
 The ack is released only after the batch's rows are journaled in the
 write-ahead log (:class:`repro.service.wal.BatchLog`) — a SIGKILL at
 any instant loses only unacknowledged batches, which clients re-send
-under their batch id (idempotent).  On restart the WAL replays into a
-fresh builder, reproducing byte-for-byte the catalog state every ack
-ever promised.
+under their batch id (idempotent).  The fold is deferred to the first
+read after a write, which folds each dirty day once however many
+batches touched it; reads therefore always see every acked batch.  On
+restart the WAL replays into a fresh builder and :meth:`start` folds
+each replayed day once before the daemon reports ready, reproducing
+byte-for-byte the catalog state every ack ever promised.
 
 Catalog state is columnar end to end: each day accumulates as a pair of
 dictionary-encoded stores sharing one daemon-wide
@@ -264,15 +273,20 @@ class CatalogDaemon:
         #: double-applying the rows.
         self._pending: Dict[str, "asyncio.Future[int]"] = {}
         #: Per-day columnar accumulators: ``CatalogBuilder.update``
-        #: replaces a day's whole slice, so each fold re-sends the full
-        #: day.  Every day store shares ``_pools`` — the builder's
+        #: replaces a day's whole slice, so a fold sends the full day —
+        #: once per read for each day written since the last fold (see
+        #: ``_dirty_days``).  Every day store shares ``_pools`` — the builder's
         #: columnar path requires one pool set across both streams, and
         #: a daemon-wide vocabulary means live appends and WAL replay
         #: extend the same dictionaries.
         self._pools = ColumnPools()
         self._events_by_day: Dict[int, ColumnarRadioEvents] = {}
         self._records_by_day: Dict[int, ColumnarServiceRecords] = {}
-        #: Query caches, invalidated by every applied batch.
+        #: Days whose columns grew since their last fold.  A day leaves
+        #: the set only once its ``update`` has returned, so a failed
+        #: fold is retried by the next read rather than served stale.
+        self._dirty_days: Set[int] = set()
+        #: Query caches, invalidated by every fold.
         self._dirty = True
         self._cached_records: List[DeviceDayRecord] = []
         self._cached_summaries: Dict[str, DeviceSummary] = {}
@@ -299,6 +313,8 @@ class CatalogDaemon:
         for batch in replayed:
             self._apply_columns(batch.radio_events, batch.service_records)
             self.health.batches_replayed += 1
+        # Each replayed day folds once, here, so readiness means folded.
+        self._fold_dirty_days()
         if self.wal.n_torn_journal_lines:
             self.health.note_torn_wal(
                 f"WAL journal torn tail: {self.wal.n_torn_journal_lines} "
@@ -378,35 +394,35 @@ class CatalogDaemon:
         radio_events: List[RadioEvent],
         service_records: List[ServiceRecord],
     ) -> None:
-        """Fold one live batch's parsed rows into the incremental catalog.
+        """Append one live batch's parsed rows onto their days' columns.
 
         Rows are encoded straight onto the day's columns (``append``
         derives the same ``timestamp // 86400`` day as the row's
-        ``.day`` property); the fold itself is shared with the replay
-        path in :meth:`_fold_days`.
+        ``.day`` property) and the touched days are marked dirty; the
+        next read folds them (:meth:`_fold_dirty_days`).
         """
-        days: Set[int] = set()
+        dirty = self._dirty_days
         for event in radio_events:
             day = event.day
             self._day_events(day).append(event)
-            days.add(day)
+            dirty.add(day)
         for record in service_records:
             day = record.day
             self._day_records(day).append(record)
-            days.add(day)
-        self._fold_days(days)
+            dirty.add(day)
 
     def _apply_columns(
         self,
         radio_events: ColumnarRadioEvents,
         service_records: ColumnarServiceRecords,
     ) -> None:
-        """Fold one replayed batch's columnar block into the catalog.
+        """Append one replayed batch's columnar block onto its days.
 
         The WAL replays each batch as the decoded stores themselves;
         partitioning scans the cached ``days`` column into per-day index
         lists and ``extend_from`` re-encodes each slice against the
-        daemon-wide pools — no row dataclass is ever built.
+        daemon-wide pools — no row dataclass is ever built.  The touched
+        days are marked dirty, as on the live path.
         """
         radio_slices: Dict[int, List[int]] = {}
         for index, day in enumerate(radio_events.days):
@@ -418,10 +434,19 @@ class CatalogDaemon:
             self._day_events(day).extend_from(radio_events, indices)
         for day, indices in service_slices.items():
             self._day_records(day).extend_from(service_records, indices)
-        self._fold_days(set(radio_slices) | set(service_slices))
+        self._dirty_days.update(radio_slices)
+        self._dirty_days.update(service_slices)
 
-    def _fold_days(self, days: Set[int]) -> None:
-        """Re-sort and re-fold every touched day's accumulated slice.
+    def _fold_dirty_days(self) -> None:
+        """Sort and fold each dirty day's accumulated slice, once.
+
+        Called by every read and by :meth:`start` after replay, so a
+        day written by many batches between reads folds once, not once
+        per batch.  A day is marked clean only after its
+        ``CatalogBuilder.update`` returns: if a fold raises, that day
+        and every later one stay dirty and the next read retries them
+        (exactly, when the failed ``update`` raised before committing
+        the day's cells).
 
         Each day is permuted into the canonical per-device chronological
         order before the fold, so ingest is *commutative*: any arrival
@@ -434,7 +459,7 @@ class CatalogDaemon:
         """
         # Ascending day order keeps identity resolution equal to the
         # batch pipeline's stream order (see CatalogBuilder.update).
-        for day in sorted(days):
+        for day in sorted(self._dirty_days):
             day_events = self._day_events(day)
             day_records = self._day_records(day)
             perm = _radio_sort_permutation(day_events)
@@ -446,10 +471,11 @@ class CatalogDaemon:
                 day_records = day_records.select(perm)
                 self._records_by_day[day] = day_records
             self._builder.update(day, day_events, day_records)
-        if days:
+            self._dirty_days.discard(day)
             self._dirty = True
 
     def _refresh_caches(self) -> None:
+        self._fold_dirty_days()
         if not self._dirty:
             return
         self._cached_records, self._cached_summaries = self._builder.snapshot()
@@ -461,7 +487,7 @@ class CatalogDaemon:
     # -- supervised loops ------------------------------------------------------
 
     async def _drain_loop(self) -> None:
-        """Consume the queue: WAL append (durable), then catalog fold."""
+        """Consume the queue: WAL append (durable), then column append."""
         assert self.wal is not None
         while True:
             pending = await self.queue.get()
@@ -660,7 +686,9 @@ class CatalogDaemon:
         if op == "footprint":
             return self._op_footprint(request)
         if op == "digest":
-            self._refresh_caches()
+            failed = self._refresh_for_read()
+            if failed is not None:
+                return failed
             return {
                 "status": "ok",
                 "digest": catalog_digest(
@@ -761,11 +789,28 @@ class CatalogDaemon:
             response["ingest"] = report_payload(report)
         return response
 
+    def _refresh_for_read(self) -> Optional[Dict[str, Any]]:
+        """Fold dirty days and refresh the caches; a typed error on failure.
+
+        Acked rows are already durable in the WAL and on the day's
+        columns, so a failed fold loses nothing: the client gets an
+        error reply on a live connection, and the still-dirty days fold
+        on the next read.
+        """
+        try:
+            self._refresh_caches()
+        except Exception as exc:  # noqa: BLE001 — any fold failure is
+            # answered, never a dropped connection.
+            return {"status": "error", "error": f"catalog fold failed: {exc!r}"}
+        return None
+
     def _op_query(self, request: Dict[str, Any]) -> Dict[str, Any]:
         device_id = request.get("device_id")
         if not isinstance(device_id, str):
             return {"status": "error", "error": "query requires a device_id"}
-        self._refresh_caches()
+        failed = self._refresh_for_read()
+        if failed is not None:
+            return failed
         summary = self._cached_summaries.get(device_id)
         if summary is None:
             return {"status": "not_found", "device_id": device_id}
@@ -789,7 +834,9 @@ class CatalogDaemon:
         sim_plmn = request.get("sim_plmn")
         if not isinstance(sim_plmn, str):
             return {"status": "error", "error": "footprint requires a sim_plmn"}
-        self._refresh_caches()
+        failed = self._refresh_for_read()
+        if failed is not None:
+            return failed
         visited: Set[str] = set()
         labels: Dict[str, int] = {}
         classes: Dict[str, int] = {}

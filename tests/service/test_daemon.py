@@ -9,6 +9,8 @@ coverage in the chaos suite where the daemon lives in a subprocess.
 
 import asyncio
 import json
+import random
+from collections import Counter
 
 import pytest
 
@@ -451,3 +453,184 @@ def test_snapshot_loop_advances_watermark(tmp_path, svc_eco, svc_batches):
             await daemon.stop()
 
     asyncio.run(scenario())
+
+
+def split_batches(batches, parts=3):
+    """Each day's batch dealt round-robin into ``parts`` smaller batches.
+
+    Dealing (not slicing) mixes radio and service rows in every part,
+    so each day is written by several batches, as a collector's
+    micro-batches would write it.
+    """
+    return [
+        (f"{batch_id}-{part}", rows[part::parts])
+        for batch_id, rows in batches
+        for part in range(parts)
+        if rows[part::parts]
+    ]
+
+
+def count_updates(daemon):
+    """Wrap the daemon builder's ``update``; returns the live call list."""
+    calls = []
+    real_update = daemon._builder.update
+
+    def counting_update(day, radio_events, service_records):
+        calls.append(day)
+        return real_update(day, radio_events, service_records)
+
+    daemon._builder.update = counting_update
+    return calls
+
+
+@pytest.mark.parametrize("read_after_each_ack", [False, True])
+def test_lazy_fold_matches_build_and_reads_see_acked_writes(
+    tmp_path, svc_eco, svc_dataset, svc_batches, read_after_each_ack
+):
+    """Shuffled micro-batches with re-sends fold to the batch catalog.
+
+    With a query after every ack, each answer must already count the
+    acked batch's radio rows for the queried device (read-your-writes).
+    """
+    rng = random.Random(1234)
+    stream = split_batches(svc_batches)
+    rng.shuffle(stream)
+    resends = rng.sample(range(len(stream)), 4)
+    for index in sorted(resends, reverse=True):
+        later = rng.randint(index + 1, len(stream))
+        stream.insert(later, stream[index])
+    n_unique = len({batch_id for batch_id, _ in stream})
+    assert n_unique == len(stream) - len(resends)
+
+    async def scenario():
+        daemon = CatalogDaemon(
+            svc_eco, str(tmp_path / "wal"), ServiceConfig(**FAST_CONFIG)
+        )
+        await daemon.start()
+        try:
+            seen = set()
+            radio_counts = Counter()
+            for batch_id, rows in stream:
+                response = await ingest(daemon.port, batch_id, rows)
+                assert response["status"] == "ok", response
+                if batch_id in seen:
+                    assert response == {"status": "ok", "duplicate": True}
+                    continue
+                seen.add(batch_id)
+                radio = [row for row in rows if row["kind"] == "radio"]
+                radio_counts.update(row["device_id"] for row in radio)
+                if read_after_each_ack and radio:
+                    device_id = radio[0]["device_id"]
+                    answer = await request(
+                        daemon.port, {"op": "query", "device_id": device_id}
+                    )
+                    assert answer["status"] == "ok", answer
+                    assert answer["n_events"] == radio_counts[device_id]
+            assert daemon.health.batches_acked == n_unique
+            answer = await request(daemon.port, {"op": "digest"})
+            assert not daemon._dirty_days
+            return answer["digest"]
+        finally:
+            await daemon.stop()
+
+    digest = asyncio.run(scenario())
+    assert digest == reference_digest(svc_eco, svc_dataset)
+
+
+def test_failed_read_fold_is_typed_and_retried(
+    tmp_path, svc_eco, svc_dataset, svc_batches
+):
+    """A fold that raises answers a typed error and keeps its day dirty."""
+
+    async def scenario():
+        daemon = CatalogDaemon(
+            svc_eco, str(tmp_path / "wal"), ServiceConfig(**FAST_CONFIG)
+        )
+        await daemon.start()
+        real_update = daemon._builder.update
+        failures = []
+
+        def flaky_update(day, radio_events, service_records):
+            if not failures:
+                failures.append(day)
+                raise RuntimeError("fold poisoned once")
+            return real_update(day, radio_events, service_records)
+
+        daemon._builder.update = flaky_update
+        try:
+            for batch_id, rows in svc_batches:
+                response = await ingest(daemon.port, batch_id, rows)
+                assert response["status"] == "ok", response
+            n_days = len(daemon._dirty_days)
+            # One connection for every read: the failed fold must not
+            # drop it.
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", daemon.port
+            )
+
+            async def call(payload):
+                writer.write(json.dumps(payload).encode("utf-8") + b"\n")
+                await writer.drain()
+                return json.loads((await reader.readline()).decode("utf-8"))
+
+            device_id = svc_dataset.radio_events[0].device_id
+            failed = await call({"op": "query", "device_id": device_id})
+            assert failed["status"] == "error"
+            assert "fold poisoned once" in failed["error"]
+            # The failing day is the first in fold order and stays
+            # dirty with every day after it.
+            assert failures == [min(daemon._dirty_days)]
+            assert len(daemon._dirty_days) == n_days
+            answer = await call({"op": "digest"})
+            assert answer["status"] == "ok"
+            assert not daemon._dirty_days
+            writer.close()
+            return answer["digest"]
+        finally:
+            await daemon.stop()
+
+    digest = asyncio.run(scenario())
+    assert digest == reference_digest(svc_eco, svc_dataset)
+
+
+def test_replay_folds_each_day_once(tmp_path, svc_eco, svc_dataset, svc_batches):
+    """Restart folds each replayed day exactly once, before ready."""
+
+    wal_dir = str(tmp_path / "wal")
+    stream = split_batches(svc_batches)
+    n_days = len(svc_batches)
+    assert len(stream) > n_days
+
+    async def first_life():
+        daemon = CatalogDaemon(svc_eco, wal_dir, ServiceConfig(**FAST_CONFIG))
+        await daemon.start()
+        calls = count_updates(daemon)
+        try:
+            for batch_id, rows in stream:
+                response = await ingest(daemon.port, batch_id, rows)
+                assert response["status"] == "ok", response
+            # Acks never fold; the days wait for a read.
+            assert calls == []
+            assert len(daemon._dirty_days) == n_days
+        finally:
+            await daemon.stop()
+
+    async def second_life():
+        daemon = CatalogDaemon(
+            svc_eco, wal_dir, ServiceConfig(**FAST_CONFIG), resume=True
+        )
+        calls = count_updates(daemon)
+        await daemon.start()
+        try:
+            assert daemon.health.batches_replayed == len(stream)
+            assert daemon.health.ready
+            assert calls == sorted(set(calls)) and len(calls) == n_days
+            answer = await request(daemon.port, {"op": "digest"})
+            assert len(calls) == n_days  # ready already meant folded
+            return answer["digest"]
+        finally:
+            await daemon.stop()
+
+    asyncio.run(first_life())
+    digest = asyncio.run(second_life())
+    assert digest == reference_digest(svc_eco, svc_dataset)
