@@ -102,7 +102,17 @@ def radius_of_gyration_km(
     """
     if not points:
         raise ValueError("gyration of empty point set")
-    centroid = weighted_centroid(points, weights)
+    return gyration_about_km(points, weights, weighted_centroid(points, weights))
+
+
+def gyration_about_km(
+    points: Sequence[GeoPoint], weights: Sequence[float], centroid: GeoPoint
+) -> float:
+    """:func:`radius_of_gyration_km` about a centroid the caller already has.
+
+    ``centroid`` must be ``weighted_centroid(points, weights)``; callers
+    that need the centroid too compute it once instead of twice.
+    """
     total = float(sum(weights))
     acc = 0.0
     for point, weight in zip(points, weights):

@@ -173,6 +173,186 @@ class CatalogUpdate:
         return len(self.changed_devices)
 
 
+class _SummaryFold:
+    """Left fold of one device's day records into its summary aggregates.
+
+    :meth:`CatalogBuilder.summarize` folds all of a device's records in
+    ascending-day order.  The incremental engine keeps one fold over all
+    but a device's latest day and adds the latest record to a copy, so
+    the floats are summed in the same order and the two summaries are
+    byte-identical.
+    """
+
+    __slots__ = (
+        "ever_home",
+        "active_days",
+        "n_events",
+        "n_failed_events",
+        "n_calls",
+        "voice_minutes",
+        "n_data_sessions",
+        "bytes_total",
+        "gyration_sum",
+        "gyration_n",
+        "apns",
+        "visited",
+        "radio_mask",
+        "voice_mask",
+        "data_mask",
+    )
+
+    def __init__(self) -> None:
+        self.ever_home = False
+        self.active_days = 0
+        self.n_events = 0
+        self.n_failed_events = 0
+        self.n_calls = 0
+        self.voice_minutes = 0.0
+        self.n_data_sessions = 0
+        self.bytes_total = 0
+        self.gyration_sum = 0.0
+        self.gyration_n = 0
+        self.apns: Set[str] = set()
+        self.visited: Set[str] = set()
+        self.radio_mask = 0
+        self.voice_mask = 0
+        self.data_mask = 0
+
+    def copy(self) -> "_SummaryFold":
+        other = _SummaryFold()
+        other.ever_home = self.ever_home
+        other.active_days = self.active_days
+        other.n_events = self.n_events
+        other.n_failed_events = self.n_failed_events
+        other.n_calls = self.n_calls
+        other.voice_minutes = self.voice_minutes
+        other.n_data_sessions = self.n_data_sessions
+        other.bytes_total = self.bytes_total
+        other.gyration_sum = self.gyration_sum
+        other.gyration_n = self.gyration_n
+        other.apns = set(self.apns)
+        other.visited = set(self.visited)
+        other.radio_mask = self.radio_mask
+        other.voice_mask = self.voice_mask
+        other.data_mask = self.data_mask
+        return other
+
+    def extend(self, records: Iterable[DeviceDayRecord]) -> "_SummaryFold":
+        """Fold ``records`` (ascending by day) in; returns ``self``."""
+        # Locals for the loop, stored back once: the fold runs over
+        # every device-day of a one-shot build.
+        ever_home = self.ever_home
+        active_days = self.active_days
+        n_events = self.n_events
+        n_failed_events = self.n_failed_events
+        n_calls = self.n_calls
+        voice_minutes = self.voice_minutes
+        n_data_sessions = self.n_data_sessions
+        bytes_total = self.bytes_total
+        gyration_sum = self.gyration_sum
+        gyration_n = self.gyration_n
+        radio_mask = self.radio_mask
+        voice_mask = self.voice_mask
+        data_mask = self.data_mask
+        apns = self.apns
+        visited = self.visited
+        for r in records:
+            ever_home = ever_home or r.on_home_network
+            if r.has_activity:
+                active_days += 1
+            n_events += r.n_events
+            n_failed_events += r.n_failed_events
+            n_calls += r.n_calls
+            voice_minutes += r.voice_minutes
+            n_data_sessions += r.n_data_sessions
+            bytes_total += r.bytes_total
+            if r.mobility is not None:
+                gyration_sum += r.mobility.gyration_km
+                gyration_n += 1
+            apns.update(r.apns)
+            visited.update(r.visited_plmns)
+            radio_mask |= r.radio_flags.mask
+            voice_mask |= r.voice_flags.mask
+            data_mask |= r.data_flags.mask
+        self.ever_home = ever_home
+        self.active_days = active_days
+        self.n_events = n_events
+        self.n_failed_events = n_failed_events
+        self.n_calls = n_calls
+        self.voice_minutes = voice_minutes
+        self.n_data_sessions = n_data_sessions
+        self.bytes_total = bytes_total
+        self.gyration_sum = gyration_sum
+        self.gyration_n = gyration_n
+        self.radio_mask = radio_mask
+        self.voice_mask = voice_mask
+        self.data_mask = data_mask
+        return self
+
+
+#: A device's identity candidates folded over days in ascending order,
+#: first one wins: (SIM and TAC of the first radio day, SIM of the
+#: first service record).  See :func:`_resolve_identity`.
+_Identity = Tuple[Optional[str], Optional[int], Optional[str]]
+
+_NO_IDENTITY: _Identity = (None, None, None)
+
+
+def _fold_identity(identity: _Identity, cell: _DayCell) -> _Identity:
+    """Fold one later day's identity candidates into ``identity``."""
+    sim_radio, tac, sim_service = identity
+    if sim_radio is None and cell.sim_radio is not None:
+        sim_radio, tac = cell.sim_radio, cell.tac
+    if sim_service is None:
+        sim_service = cell.sim_service
+    return sim_radio, tac, sim_service
+
+
+def _resolve_identity(device_id: str, identity: _Identity) -> Tuple[str, Optional[int]]:
+    """Resolve (SIM, TAC) from candidates folded over all of a device's days.
+
+    The first day with radio activity wins — with days fed in ascending
+    order this is exactly the row path's "first radio event in the
+    stream".  A device with no radio on any day falls back to its
+    earliest service SIM (and no TAC), again matching ``_accumulate``'s
+    setdefault semantics.
+    """
+    sim_radio, tac, sim_service = identity
+    if sim_radio is not None:
+        return sim_radio, tac
+    if sim_service is None:  # unreachable: every cell has >= 1 record
+        raise RuntimeError(f"device {device_id!r} has cells but no SIM")
+    return sim_service, None
+
+
+class _DeviceFold:
+    """Incremental-engine state of one device (see :meth:`CatalogBuilder.update`).
+
+    ``base`` folds every day record but the latest, and ``base_identity``
+    every day's identity candidates but the latest's; ``first`` is the
+    record the roaming label reads, and ``sim_plmn``/``tac`` the
+    identity resolved over all days.
+    """
+
+    __slots__ = ("base", "base_identity", "first", "latest", "sim_plmn", "tac")
+
+    def __init__(
+        self,
+        base: _SummaryFold,
+        base_identity: _Identity,
+        first: DeviceDayRecord,
+        latest: DeviceDayRecord,
+        sim_plmn: str,
+        tac: Optional[int],
+    ) -> None:
+        self.base = base
+        self.base_identity = base_identity
+        self.first = first
+        self.latest = latest
+        self.sim_plmn = sim_plmn
+        self.tac = tac
+
+
 class _DayAccumulator:
     """Mutable per-(device, day) aggregation state."""
 
@@ -268,13 +448,17 @@ class CatalogBuilder:
         # calls.  Lookup is deterministic; the memo cannot change a join.
         self._model_cache: Dict[int, Optional[DeviceModel]] = {}
         # Incremental-engine state (see `update`/`snapshot`): per-day
-        # cell maps, the day set each device was seen on, and the cached
-        # records/summaries the last update left valid.
+        # cell maps, the day set each device was seen on, the cached
+        # records/summaries, and each device's fold over its earlier days.
         self._inc_pools: Optional[ColumnPools] = None
         self._inc_cells: Dict[int, Dict[str, _DayCell]] = {}
         self._inc_device_days: Dict[str, Set[int]] = {}
         self._inc_records: Dict[Tuple[str, int], DeviceDayRecord] = {}
         self._inc_summaries: Dict[str, DeviceSummary] = {}
+        self._inc_folds: Dict[str, _DeviceFold] = {}
+        # Devices whose summary is finished from their fold at the next
+        # `snapshot`: a replay of N days finishes it once, not N times.
+        self._inc_unfinished: Set[str] = set()
 
     # -- streaming ingestion ------------------------------------------------
 
@@ -384,82 +568,63 @@ class CatalogBuilder:
         for record in day_records:
             by_device[record.device_id].append(record)
 
-        summaries: Dict[str, DeviceSummary] = {}
+        return {
+            device_id: self._summary_from_fold(
+                device_id,
+                _SummaryFold().extend(records),
+                records[0],
+                tac_of.get(device_id),
+            )
+            for device_id, records in by_device.items()
+        }
+
+    def _summary_from_fold(
+        self,
+        device_id: str,
+        fold: _SummaryFold,
+        first: DeviceDayRecord,
+        tac: Optional[int],
+    ) -> DeviceSummary:
+        """Finish a device's folded aggregates into its summary."""
+        # A device never seen on the home network was only observed
+        # through CDR/xDRs from partner networks: an outbound roamer.
+        # min() (not next(iter(...))) keeps the pick independent of
+        # frozenset iteration order, i.e. of PYTHONHASHSEED.
+        any_visited = min(first.visited_plmns, default=self._observer_plmn)
+        label = self._labeler.label(
+            first.sim_plmn,
+            self._observer_plmn if fold.ever_home else any_visited,
+        )
         model_cache = self._model_cache
-        for device_id, records in by_device.items():
-            # One pass over the device's day records accumulates every
-            # aggregate; the apns/visited frozensets are built once at
-            # the end rather than re-derived per record.
-            ever_home = False
-            active_days = 0
-            n_events = n_failed_events = n_calls = n_data_sessions = 0
-            voice_minutes = 0.0
-            bytes_total = 0
-            gyration_sum = 0.0
-            gyration_n = 0
-            apns: Set[str] = set()
-            visited: Set[str] = set()
-            flags = RadioFlags()
-            voice_flags = RadioFlags()
-            data_flags = RadioFlags()
-            for r in records:
-                ever_home = ever_home or r.on_home_network
-                if r.has_activity:
-                    active_days += 1
-                n_events += r.n_events
-                n_failed_events += r.n_failed_events
-                n_calls += r.n_calls
-                voice_minutes += r.voice_minutes
-                n_data_sessions += r.n_data_sessions
-                bytes_total += r.bytes_total
-                if r.mobility is not None:
-                    gyration_sum += r.mobility.gyration_km
-                    gyration_n += 1
-                apns.update(r.apns)
-                visited.update(r.visited_plmns)
-                flags = flags.union(r.radio_flags)
-                voice_flags = voice_flags.union(r.voice_flags)
-                data_flags = data_flags.union(r.data_flags)
-            # A device never seen on the home network was only observed
-            # through CDR/xDRs from partner networks: an outbound roamer.
-            # min() (not next(iter(...))) keeps the pick independent of
-            # frozenset iteration order, i.e. of PYTHONHASHSEED.
-            any_visited = min(records[0].visited_plmns, default=self._observer_plmn)
-            label = self._labeler.label(
-                records[0].sim_plmn,
-                self._observer_plmn if ever_home else any_visited,
-            )
-            tac = tac_of.get(device_id)
-            if tac is None:
-                model = None
-            elif tac in model_cache:
-                model = model_cache[tac]
-            else:
-                model = self._tac_db.lookup(tac)
-                model_cache[tac] = model
-            summaries[device_id] = DeviceSummary(
-                device_id=device_id,
-                sim_plmn=records[0].sim_plmn,
-                label=label,
-                active_days=active_days,
-                n_events=n_events,
-                n_failed_events=n_failed_events,
-                n_calls=n_calls,
-                voice_minutes=voice_minutes,
-                n_data_sessions=n_data_sessions,
-                bytes_total=bytes_total,
-                apns=frozenset(apns),
-                visited_plmns=frozenset(visited),
-                radio_flags=flags,
-                voice_flags=voice_flags,
-                data_flags=data_flags,
-                tac=tac,
-                model=model,
-                mean_gyration_km=(
-                    gyration_sum / gyration_n if gyration_n else None
-                ),
-            )
-        return summaries
+        if tac is None:
+            model = None
+        elif tac in model_cache:
+            model = model_cache[tac]
+        else:
+            model = self._tac_db.lookup(tac)
+            model_cache[tac] = model
+        return DeviceSummary(
+            device_id=device_id,
+            sim_plmn=first.sim_plmn,
+            label=label,
+            active_days=fold.active_days,
+            n_events=fold.n_events,
+            n_failed_events=fold.n_failed_events,
+            n_calls=fold.n_calls,
+            voice_minutes=fold.voice_minutes,
+            n_data_sessions=fold.n_data_sessions,
+            bytes_total=fold.bytes_total,
+            apns=frozenset(fold.apns),
+            visited_plmns=frozenset(fold.visited),
+            radio_flags=RadioFlags(fold.radio_mask),
+            voice_flags=RadioFlags(fold.voice_mask),
+            data_flags=RadioFlags(fold.data_mask),
+            tac=tac,
+            model=model,
+            mean_gyration_km=(
+                fold.gyration_sum / fold.gyration_n if fold.gyration_n else None
+            ),
+        )
 
     def build(
         self,
@@ -706,29 +871,6 @@ class CatalogBuilder:
             on_home_network=cell.on_home_network,
         )
 
-    def _resolve_incremental_identity(
-        self, device_id: str
-    ) -> Tuple[str, Optional[int]]:
-        """Resolve (SIM, TAC) from the device's cells, ascending by day.
-
-        The first day with radio activity wins — with days fed in
-        ascending order this is exactly the row path's "first radio
-        event in the stream".  A device with no radio on any day falls
-        back to its earliest service SIM (and no TAC), again matching
-        ``_accumulate``'s setdefault semantics.
-        """
-        cells = self._inc_cells
-        fallback: Optional[str] = None
-        for day in sorted(self._inc_device_days[device_id]):
-            cell = cells[day][device_id]
-            if cell.sim_radio is not None:
-                return cell.sim_radio, cell.tac
-            if fallback is None and cell.sim_service is not None:
-                fallback = cell.sim_service
-        if fallback is None:  # unreachable: every cell has >= 1 record
-            raise RuntimeError(f"device {device_id!r} has cells but no SIM")
-        return fallback, None
-
     def update(
         self,
         day: int,
@@ -743,7 +885,14 @@ class CatalogBuilder:
         keep their cached rows untouched.  Feeding day partitions in
         ascending day order makes :meth:`snapshot` equal to
         :meth:`build` over the concatenated streams (identity resolution
-        depends on day order; see ``_resolve_incremental_identity``).
+        depends on day order; see :func:`_resolve_identity`).
+
+        The work is in proportion to the day's changed cells, not to the
+        days already folded: a known device whose identity does not move
+        gets ``day`` added on top of a fold of its earlier days (see
+        ``_fold_latest``), and its summary is finished once, at the next
+        :meth:`snapshot`; every other changed device is re-summarized
+        over all its days (see ``_refold``).
 
         Re-sending a day replaces that day's slice (idempotent for an
         identical slice: zero devices change).  Rows for any other day
@@ -793,7 +942,72 @@ class CatalogBuilder:
                 day=day, changed_devices=(), n_devices=len(self._inc_device_days)
             )
 
-        for device_id in changed:
+        slow = [
+            device_id
+            for device_id in changed
+            if not self._fold_latest(device_id, day, new_cells.get(device_id))
+        ]
+        if slow:
+            self._refold(day, slow, new_cells)
+        return CatalogUpdate(
+            day=day,
+            changed_devices=tuple(changed),
+            n_devices=len(self._inc_device_days),
+        )
+
+    def _fold_latest(
+        self, device_id: str, day: int, cell: Optional[_DayCell]
+    ) -> bool:
+        """Fast path of :meth:`update`: add one day on top of a device's fold.
+
+        Applies when the device is known, ``day`` is at or after its
+        latest day and still has a cell, and the device's resolved
+        identity does not move.  A later day first folds the old latest
+        record into the base; the latest day itself (the daemon re-reading
+        the day it is still writing) just replaces it; :meth:`snapshot`
+        finishes the summary from the fold.  Returns False, having
+        changed nothing, when the slow path must run instead.
+        """
+        fold = self._inc_folds.get(device_id)
+        if cell is None or fold is None:
+            return False
+        latest = fold.latest
+        if day < latest.day:
+            return False
+        base_identity = fold.base_identity
+        if day > latest.day:
+            base_identity = _fold_identity(
+                base_identity, self._inc_cells[latest.day][device_id]
+            )
+        identity = _resolve_identity(device_id, _fold_identity(base_identity, cell))
+        if identity != (fold.sim_plmn, fold.tac):
+            return False
+        record = self._record_from_cell(device_id, day, fold.sim_plmn, cell)
+        if day > latest.day:
+            fold.base.extend((latest,))
+            fold.base_identity = base_identity
+            self._inc_device_days[device_id].add(day)
+        elif fold.first.day == day:
+            # The device's only day: its latest record is its first too.
+            fold.first = record
+        fold.latest = record
+        self._inc_records[(device_id, day)] = record
+        self._inc_unfinished.add(device_id)
+        return True
+
+    def _refold(
+        self, day: int, device_ids: List[str], new_cells: Dict[str, _DayCell]
+    ) -> None:
+        """Slow path of :meth:`update`: re-summarize devices over all their days.
+
+        Runs for a device seen for the first time, a rewrite of an
+        earlier day, a day removed by an empty slice, and a move of the
+        resolved SIM or TAC; each device's fold state is rebuilt after.
+        """
+        refold: List[DeviceDayRecord] = []
+        tac_of: Dict[str, int] = {}
+        for device_id in device_ids:
+            self._inc_unfinished.discard(device_id)
             device_days = self._inc_device_days.setdefault(device_id, set())
             if device_id in new_cells:
                 device_days.add(day)
@@ -803,40 +1017,54 @@ class CatalogBuilder:
                 if not device_days:
                     del self._inc_device_days[device_id]
                     self._inc_summaries.pop(device_id, None)
-
-        refold: List[DeviceDayRecord] = []
-        tac_of: Dict[str, int] = {}
-        for device_id in changed:
-            device_days = self._inc_device_days.get(device_id, set())
-            if not device_days:
-                continue
-            sim_plmn, tac = self._resolve_incremental_identity(device_id)
+                    self._inc_folds.pop(device_id, None)
+                    continue
+            days = sorted(device_days)
+            cells = [self._inc_cells[d][device_id] for d in days]
+            base_identity = _NO_IDENTITY
+            for cell in cells[:-1]:
+                base_identity = _fold_identity(base_identity, cell)
+            sim_plmn, tac = _resolve_identity(
+                device_id, _fold_identity(base_identity, cells[-1])
+            )
             if tac is not None:
                 tac_of[device_id] = tac
-            for d in sorted(device_days):
+            records: List[DeviceDayRecord] = []
+            for d, cell in zip(days, cells):
                 cache_key = (device_id, d)
                 cached = self._inc_records.get(cache_key)
                 # Rebuild the updated day's row, any missing row, and —
                 # when the resolved SIM moved (e.g. the first radio day
                 # was replaced) — every row carrying the stale SIM.
                 if d == day or cached is None or cached.sim_plmn != sim_plmn:
-                    cached = self._record_from_cell(
-                        device_id, d, sim_plmn, self._inc_cells[d][device_id]
-                    )
+                    cached = self._record_from_cell(device_id, d, sim_plmn, cell)
                     self._inc_records[cache_key] = cached
-                refold.append(cached)
+                records.append(cached)
+            refold.extend(records)
+            self._inc_folds[device_id] = _DeviceFold(
+                _SummaryFold().extend(records[:-1]),
+                base_identity,
+                records[0],
+                records[-1],
+                sim_plmn,
+                tac,
+            )
         if refold:
             self._inc_summaries.update(self.summarize(refold, tac_of))
-        return CatalogUpdate(
-            day=day,
-            changed_devices=tuple(changed),
-            n_devices=len(self._inc_device_days),
-        )
 
     def snapshot(self) -> Tuple[List[DeviceDayRecord], Dict[str, DeviceSummary]]:
         """The incremental catalog as of the last :meth:`update` —
         records sorted by (device, day), summaries in sorted device
         order, exactly as :meth:`build` emits them."""
+        for device_id in sorted(self._inc_unfinished):
+            fold = self._inc_folds[device_id]
+            self._inc_summaries[device_id] = self._summary_from_fold(
+                device_id,
+                fold.base.copy().extend((fold.latest,)),
+                fold.first,
+                fold.tac,
+            )
+        self._inc_unfinished.clear()
         records = sorted(
             self._inc_records.values(), key=lambda r: (r.device_id, r.day)
         )

@@ -17,7 +17,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cellular.geo import GeoPoint, radius_of_gyration_km, weighted_centroid
+from repro.cellular.geo import GeoPoint, gyration_about_km, weighted_centroid
 from repro.cellular.sectors import SectorCatalog
 from repro.signaling.events import RadioEvent
 
@@ -92,9 +92,10 @@ def daily_mobility_from_pairs(
         weights.append(seconds)
     if not points:
         return None
+    centroid = weighted_centroid(points, weights)
     return MobilityMetrics(
-        centroid=weighted_centroid(points, weights),
-        gyration_km=radius_of_gyration_km(points, weights),
+        centroid=centroid,
+        gyration_km=gyration_about_km(points, weights, centroid),
         n_sectors=len(points),
     )
 

@@ -70,8 +70,11 @@ def shard_mno_records(
     """Shard both MNO record streams by device in one pass each.
 
     Returns one ``(radio_events, service_records)`` pair per shard; both
-    streams of a device always land in the same shard.
+    streams of a device always land in the same shard.  One shard is
+    both streams whole, in stream order, with no hashing pass.
     """
+    if n_shards == 1:
+        return [(list(radio_events), list(service_records))]
     radio_shards = shard_items(radio_events, n_shards)
     service_shards = shard_items(service_records, n_shards)
     return list(zip(radio_shards, service_shards))

@@ -40,13 +40,7 @@ class RadioInterface(str, Enum):
 
     @property
     def rat(self) -> RAT:
-        return {
-            RadioInterface.A: RAT.GSM,
-            RadioInterface.GB: RAT.GSM,
-            RadioInterface.IU_CS: RAT.UMTS,
-            RadioInterface.IU_PS: RAT.UMTS,
-            RadioInterface.S1: RAT.LTE,
-        }[self]
+        return _RAT_OF[self]
 
     @property
     def is_voice(self) -> bool:
@@ -71,6 +65,14 @@ class RadioInterface(str, Enum):
         except KeyError:
             raise ValueError(f"no {'voice' if voice else 'data'} interface for {rat.value}") from None
 
+
+_RAT_OF = {
+    RadioInterface.A: RAT.GSM,
+    RadioInterface.GB: RAT.GSM,
+    RadioInterface.IU_CS: RAT.UMTS,
+    RadioInterface.IU_PS: RAT.UMTS,
+    RadioInterface.S1: RAT.LTE,
+}
 
 _PLANE_TABLE = {
     (RAT.GSM, True): RadioInterface.A,

@@ -2,7 +2,8 @@
 
 Times the pipeline's hot stages — catalog build, classification, the
 sharded worker sweep (1/2/4), the cached vs uncached roaming-labeler
-path, the out-of-core spill pipeline, and the live catalog daemon
+path, the out-of-core spill pipeline, durable-with-store against the
+plain pipeline end to end, and the live catalog daemon
 (micro-batch ingest throughput and point-query p99) — and writes the
 results as ``BENCH_pipeline.json``.  With ``--check`` it compares each
 bench's ops/sec against a committed baseline, enforces the derived
@@ -48,6 +49,7 @@ import pickle
 import platform
 import resource
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -483,13 +485,13 @@ def run_benches(devices: int, seed: int, repeats: int) -> Dict[str, Dict[str, fl
     ckpt_parent = Path(tempfile.mkdtemp(prefix="bench_ckpt_"))
     ckpt_counter = [0]
 
-    def durable_checkpointed() -> None:
+    def durable_checkpointed(compute_mobility: bool = False) -> None:
         ckpt_counter[0] += 1
         target = ckpt_parent / f"run_{ckpt_counter[0]:03d}"
         try:
             run_durable_pipeline(
                 dataset, eco, checkpoint_dir=target,
-                compute_mobility=False, n_workers=1,
+                compute_mobility=compute_mobility, n_workers=1,
             )
         finally:
             shutil.rmtree(target, ignore_errors=True)
@@ -635,10 +637,26 @@ def run_benches(devices: int, seed: int, repeats: int) -> Dict[str, Dict[str, fl
         durable_out_of_core()
         ooc_times.append(time.perf_counter() - start)
     rss_after = _peak_rss_kb()
-    for name, times in (
-        ("durable_checkpointed", ckpt_times),
-        ("durable_baseline", base_times),
-        ("pipeline_out_of_core", ooc_times),
+    # End-to-end twin of checkpoint_overhead: ``repro run`` with a store
+    # against the plain serial pipeline, both with library defaults
+    # (mobility on), interleaved the same way.  Report only: no gate.
+    store_times: List[float] = []
+    plain_times: List[float] = []
+    e2e_rss_before = _peak_rss_kb()
+    for _ in range(pair_repeats):
+        start = time.perf_counter()
+        durable_checkpointed(compute_mobility=True)
+        store_times.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        run_pipeline(dataset, eco, n_workers=1)
+        plain_times.append(time.perf_counter() - start)
+    e2e_rss_after = _peak_rss_kb()
+    for name, times, window in (
+        ("durable_checkpointed", ckpt_times, (rss_before, rss_after)),
+        ("durable_baseline", base_times, (rss_before, rss_after)),
+        ("pipeline_out_of_core", ooc_times, (rss_before, rss_after)),
+        ("durable_store_e2e", store_times, (e2e_rss_before, e2e_rss_after)),
+        ("pipeline_plain_e2e", plain_times, (e2e_rss_before, e2e_rss_after)),
     ):
         seconds = min(times)
         results[name] = {
@@ -647,10 +665,10 @@ def run_benches(devices: int, seed: int, repeats: int) -> Dict[str, Dict[str, fl
             "rows_per_sec": (
                 round(n_rows / seconds, 1) if seconds > 0 else float("inf")
             ),
-            "peak_rss_kb": rss_after,
-            # The pair is interleaved in one window; the delta is the
+            "peak_rss_kb": window[1],
+            # The runs are interleaved in one window; the delta is the
             # window's growth, reported once and mirrored here.
-            "rss_delta_kb": rss_after - rss_before,
+            "rss_delta_kb": window[1] - window[0],
         }
         print(
             f"  {name:<24} {seconds:8.4f}s  "
@@ -663,6 +681,10 @@ def run_benches(devices: int, seed: int, repeats: int) -> Dict[str, Dict[str, fl
     )
     results["pipeline_out_of_core"]["overhead_vs_baseline"] = round(
         min(o / b for o, b in zip(ooc_times, base_times)), 3
+    )
+    # Report only, so the typical pair rather than the most flattering.
+    results["durable_store_e2e"]["vs_plain"] = round(
+        statistics.median(d / p for d, p in zip(store_times, plain_times)), 3
     )
 
     # Live-daemon benches: stream the dataset as micro-batches through
@@ -854,6 +876,9 @@ def derive_ratios(benches: Dict[str, Dict[str, float]]) -> Dict[str, float]:
             3,
         ),
     )
+    # End to end: durable with a store over plain run_pipeline, both
+    # with library defaults (median interleaved pair; report only).
+    ratios["durable_vs_plain"] = benches["durable_store_e2e"]["vs_plain"]
     return ratios
 
 
